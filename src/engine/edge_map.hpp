@@ -20,7 +20,6 @@
 #include "engine/traverse_coo.hpp"
 #include "engine/traverse_csc.hpp"
 #include "engine/traverse_csr.hpp"
-#include "engine/traverse_pcpm.hpp"
 #include "engine/traverse_pcsr.hpp"
 #include "engine/workspace.hpp"
 #include "frontier/frontier.hpp"
@@ -46,17 +45,7 @@ inline void poll_cancel(const sys::CancelToken* token) {
 
 /// Pick the traversal kind for frontier weight `w` on a graph of `m` edges.
 /// Exposed separately so tests can probe the decision thresholds directly.
-///
-/// `pcpm_capable` is whether the partition-centric scatter-gather kernel is
-/// admissible for this call — the operator models ScatterGatherOperator
-/// *and* the graph carries message bins (edge_map computes it; it defaults
-/// to false so threshold probes ask about the classic three-way decision).
-/// When capable, non-sparse frontiers above the Options::pcpm_fraction cut
-/// of edge-oriented algorithms take the binned path; a forced
-/// Layout::kPcpm without capability degrades to the dense COO, so sweeps
-/// may force the layout uniformly across operators.
-inline TraversalKind decide_traversal(eid_t w, eid_t m, const Options& opts,
-                                      bool pcpm_capable = false) {
+inline TraversalKind decide_traversal(eid_t w, eid_t m, const Options& opts) {
   if (opts.layout == Layout::kSparseCsr) return TraversalKind::kSparseCsr;
   const auto sparse_cut =
       static_cast<double>(m) * opts.sparse_fraction;  // |E|/20
@@ -69,18 +58,10 @@ inline TraversalKind decide_traversal(eid_t w, eid_t m, const Options& opts,
       return TraversalKind::kDenseCoo;
     case Layout::kPartitionedCsr:
       return TraversalKind::kPartitionedCsr;
-    case Layout::kPcpm:
-      return pcpm_capable ? TraversalKind::kPcpm : TraversalKind::kDenseCoo;
     case Layout::kAuto:
     case Layout::kSparseCsr:
       break;
   }
-  // PCPM cut (checked before the medium/dense split so ablations can push
-  // the binned mode down into the medium band): two sequential sweeps only
-  // beat one random-write sweep when enough of the graph is active.
-  if (pcpm_capable && opts.orientation == Orientation::kEdge &&
-      static_cast<double>(w) > static_cast<double>(m) * opts.pcpm_fraction)
-    return TraversalKind::kPcpm;
   if (static_cast<double>(w) <= dense_cut) return TraversalKind::kBackwardCsc;
   // Dense frontier: COO for edge-oriented algorithms; vertex-oriented ones
   // stay on the backward CSC (§IV-A's empirical classification).
@@ -125,17 +106,14 @@ Frontier edge_map(const graph::Graph& g, Frontier& f, Op op,
   poll_cancel(token);
   if (f.empty()) return Frontier::empty(g.num_vertices());
 
-  const bool pcpm_capable = ScatterGatherOperator<Op> && g.has_pcpm_bins();
-  const TraversalKind kind = decide_traversal(f.traversal_weight(),
-                                              g.num_edges(), opts,
-                                              pcpm_capable);
+  const TraversalKind kind =
+      decide_traversal(f.traversal_weight(), g.num_edges(), opts);
   const bool atomics = decide_atomics(g, opts);
 
   Timer timer;
   eid_t edges = 0;
   Frontier out;
   bool used_atomics = false;
-  std::uint64_t bin_bytes = 0;  // PCPM message traffic of this call
   AffineCounts affinity;  // home/stolen split of the partition schedulers
   switch (kind) {
     case TraversalKind::kSparseCsr:
@@ -161,16 +139,6 @@ Frontier edge_map(const graph::Graph& g, Frontier& f, Op op,
                                      token);
       used_atomics = atomics;
       break;
-    case TraversalKind::kPcpm:
-      // Guarded if-constexpr: decide_traversal only returns kPcpm when the
-      // operator models the concept, but the non-SG instantiations of this
-      // function still need the call to type-check away.
-      if constexpr (ScatterGatherOperator<Op>) {
-        out = traverse_pcpm(g, f, op, &edges, ws, &affinity, token,
-                            &bin_bytes);
-        used_atomics = false;  // destination partitions are single-writer
-      }
-      break;
   }
 
   // The partition kernels early-out (skipping whole partitions) when the
@@ -184,7 +152,6 @@ Frontier edge_map(const graph::Graph& g, Frontier& f, Op op,
   if (stats != nullptr) {
     stats->record(kind, timer.seconds(), edges, used_atomics);
     stats->record_affinity(affinity);
-    if (bin_bytes != 0) stats->record_pcpm_bytes(bin_bytes);
   }
   return out;
 }

@@ -6,7 +6,9 @@
 //   * sparse  — iterate active vertices u, push along original *in*-edges
 //               (CSC adjacency of u), atomics required;
 //   * medium  — gather per original *source* vertex v over its out-edges
-//               (CSR adjacency of v): v is the unique writer → no atomics.
+//               (CSR adjacency of v): v is the unique writer → no atomics
+//               (bar the next-frontier bits on a partitioning that is not
+//               word-aligned, as in traverse_csc.hpp).
 //               Computation range = the same partitioned vertex ranges;
 //   * dense   — partitioned COO scanned with endpoint roles swapped.  The
 //               partitions own *destination* ranges of the original graph,
@@ -115,29 +117,32 @@ Frontier traverse_transpose_backward(const graph::Graph& g, Frontier& f,
   // domain-affine schedule applies — domains resolved against the
   // edge-balanced partitioning the CSR pages were placed by.
   const partition::Partitioning& storage_parts = g.partitioning_edges();
-  const AffineCounts counts = affine_for(
-      numa, /*owner=*/&g, /*token=*/&chunks, chunks.size(),
-      ws != nullptr ? &ws->domain_schedules() : nullptr,
-      [&](std::size_t c) {
-        return csc_chunk_domain(storage_parts, numa, chunks[c]);
-      },
-      [&](std::size_t p) {
-        const VertexRange r = chunks[p];
-        eid_t local_edges = 0;
-        for (vid_t v = r.begin; v < r.end; ++v) {
-          if (!op.cond(v)) continue;
-          const auto neigh = csr.neighbors(v);
-          const auto wts = csr.weights(v);
-          for (std::size_t j = 0; j < neigh.size(); ++j) {
-            ++local_edges;
-            const vid_t u = neigh[j];
-            if (!in.get(u)) continue;
-            if (op.update(u, v, wts[j])) next.set(v);
-            if (!op.cond(v)) break;
-          }
-        }
-        edge_counts[p] = local_edges;
-        return static_cast<std::uint64_t>(local_edges);
+  const AffineCounts counts = with_shared_words(
+      !ranges.word_aligned(), [&](auto shared_words) {
+        return affine_for(
+            numa, /*owner=*/&g, /*token=*/&chunks, chunks.size(),
+            ws != nullptr ? &ws->domain_schedules() : nullptr,
+            [&](std::size_t c) {
+              return csc_chunk_domain(storage_parts, numa, chunks[c]);
+            },
+            [&](std::size_t p) {
+              const VertexRange r = chunks[p];
+              eid_t local_edges = 0;
+              for (vid_t v = r.begin; v < r.end; ++v) {
+                if (!op.cond(v)) continue;
+                const auto neigh = csr.neighbors(v);
+                const auto wts = csr.weights(v);
+                for (std::size_t j = 0; j < neigh.size(); ++j) {
+                  ++local_edges;
+                  const vid_t u = neigh[j];
+                  if (!in.get(u)) continue;
+                  if (op.update(u, v, wts[j])) next.set_as(shared_words, v);
+                  if (!op.cond(v)) break;
+                }
+              }
+              edge_counts[p] = local_edges;
+              return static_cast<std::uint64_t>(local_edges);
+            });
       });
   if (affinity != nullptr) affinity->merge(counts);
   if (edges_examined != nullptr) {
@@ -223,9 +228,6 @@ Frontier edge_map_transpose(const graph::Graph& g, Frontier& f, Op op,
   }
   const eid_t w = static_cast<eid_t>(f.num_active()) + in_deg;
 
-  // No pcpm_capable here: the message bins index forward flow (destination-
-  // partition consumers), so the transpose decision stays three-way and a
-  // forced Layout::kPcpm degrades through kDenseCoo to the backward gather.
   TraversalKind kind = decide_traversal(w, g.num_edges(), opts);
   if (kind == TraversalKind::kPartitionedCsr)
     kind = TraversalKind::kDenseCoo;  // pruned CSR has no transpose form
@@ -257,8 +259,7 @@ Frontier edge_map_transpose(const graph::Graph& g, Frontier& f, Op op,
       break;
     }
     case TraversalKind::kDenseCoo:
-    case TraversalKind::kPartitionedCsr:
-    case TraversalKind::kPcpm:  // unreachable (remapped above); keeps -Wswitch
+    case TraversalKind::kPartitionedCsr:  // unreachable (remapped above)
       // Transpose-COO has no home-domain story (partitions own the *reader*
       // side here), so it stays on plain dynamic scheduling and reports no
       // affinity.

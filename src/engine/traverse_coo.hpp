@@ -8,7 +8,9 @@
 //   * no-atomics: one task per partition.  Partitioning-by-destination makes
 //     every partition's update set disjoint, and 64-vertex-aligned partition
 //     boundaries keep next-frontier bitmap words single-writer, so plain
-//     loads/stores suffice (§III-C).
+//     loads/stores suffice (§III-C).  A partitioning off that grid
+//     (boundary_align < 64) keeps plain value updates but sets the
+//     next-frontier bits atomically.
 //   * atomics: each partition's edge range is split into fixed-size chunks
 //     (providing intra-partition parallelism when P < threads); chunks of
 //     the same partition may update a destination concurrently, requiring
@@ -58,21 +60,25 @@ Frontier traverse_coo(const graph::Graph& g, Frontier& f, Op& op,
   AffineCounts counts;
   const part_t np = coo.num_partitions();
   if (!use_atomics) {
-    counts = affine_for(
-        numa, /*owner=*/&g, /*token=*/&coo, np, sched,
-        [&](std::size_t p) {
-          return numa.domain_of_partition(static_cast<part_t>(p), np);
-        },
-        [&](std::size_t p) {
-          if (cancel != nullptr && cancel->should_stop()) return std::uint64_t{0};
-          const auto es = coo.edges(static_cast<part_t>(p));
-          for (const Edge& e : es) {
-            if (in.get(e.src) && op.cond(e.dst) &&
-                op.update(e.src, e.dst, e.weight)) {
-              next.set(e.dst);
-            }
-          }
-          return static_cast<std::uint64_t>(es.size());
+    counts = with_shared_words(
+        !g.partitioning_edges().word_aligned(), [&](auto shared_words) {
+          return affine_for(
+              numa, /*owner=*/&g, /*token=*/&coo, np, sched,
+              [&](std::size_t p) {
+                return numa.domain_of_partition(static_cast<part_t>(p), np);
+              },
+              [&](std::size_t p) {
+                if (cancel != nullptr && cancel->should_stop())
+                  return std::uint64_t{0};
+                const auto es = coo.edges(static_cast<part_t>(p));
+                for (const Edge& e : es) {
+                  if (in.get(e.src) && op.cond(e.dst) &&
+                      op.update(e.src, e.dst, e.weight)) {
+                    next.set_as(shared_words, e.dst);
+                  }
+                }
+                return static_cast<std::uint64_t>(es.size());
+              });
         });
   } else {
     // (partition, edge sub-range) work items, cached at layout build time;

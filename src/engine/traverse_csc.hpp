@@ -7,6 +7,9 @@
 // vertex-balanced load depending on the algorithm's orientation (§III-D) and
 // (b) single-writer destinations — no atomics (§IV-B: "in BFS there is no
 // need to use atomics in the CSC case as it uses a backward edge traversal").
+// Only the next-frontier bits need care: on a partitioning whose boundaries
+// are off the 64-vertex grid two sub-chunks share a bitmap word, so those
+// bits are set atomically.
 //
 // Per destination d with cond(d) true, in-edges are scanned; once an update
 // deactivates cond(d) the scan breaks early (the direction-optimising trick
@@ -39,8 +42,8 @@ inline int csc_chunk_domain(const partition::Partitioning& storage_parts,
                                   storage_parts.num_partitions());
 }
 
-/// The partitioning's ranges split into word-aligned sub-chunks — now a
-/// build-time-cached property of the Partitioning itself.
+/// The partitioning's ranges split into sub-chunks (word-aligned when the
+/// partitioning is) — a build-time-cached property of the Partitioning.
 inline const std::vector<VertexRange>& csc_sub_chunks(
     const partition::Partitioning& ranges) {
   return ranges.sub_chunks();
@@ -78,37 +81,42 @@ Frontier traverse_csc_backward(const graph::Graph& g, Frontier& f, Op& op,
   // algorithm); their domains come from the edge-balanced partitioning the
   // CSC pages were placed by.
   const partition::Partitioning& storage_parts = g.partitioning_edges();
-  const AffineCounts counts = affine_for(
-      numa, /*owner=*/&g, /*token=*/&chunks, chunks.size(),
-      ws != nullptr ? &ws->domain_schedules() : nullptr,
-      [&](std::size_t c) {
-        return csc_chunk_domain(storage_parts, numa, chunks[c]);
-      },
-      [&](std::size_t c) {
-        // Fired token: drain the sweep without work; edge_map re-checks and
-        // discards the partial frontier (bodies must not throw here).
-        if (cancel != nullptr && cancel->should_stop()) {
-          edge_counts[c] = 0;
-          return std::uint64_t{0};
-        }
-        const VertexRange r = chunks[c];
-        eid_t local_edges = 0;
-        for (vid_t d = r.begin; d < r.end; ++d) {
-          if (!op.cond(d)) continue;
-          const auto neigh = csc.neighbors(d);
-          const auto wts = csc.weights(d);
-          for (std::size_t j = 0; j < neigh.size(); ++j) {
-            ++local_edges;
-            if (prefetch && j + kCscPrefetchDist < neigh.size())
-              __builtin_prefetch(&in_words[neigh[j + kCscPrefetchDist] >> 6]);
-            const vid_t s = neigh[j];
-            if (!in.get(s)) continue;
-            if (op.update(s, d, wts[j])) next.set(d);
-            if (!op.cond(d)) break;  // destination saturated; skip remaining
-          }
-        }
-        edge_counts[c] = local_edges;
-        return static_cast<std::uint64_t>(local_edges);
+  const AffineCounts counts = with_shared_words(
+      !ranges.word_aligned(), [&](auto shared_words) {
+        return affine_for(
+            numa, /*owner=*/&g, /*token=*/&chunks, chunks.size(),
+            ws != nullptr ? &ws->domain_schedules() : nullptr,
+            [&](std::size_t c) {
+              return csc_chunk_domain(storage_parts, numa, chunks[c]);
+            },
+            [&](std::size_t c) {
+              // Fired token: drain the sweep without work; edge_map
+              // re-checks and discards the partial frontier (bodies must
+              // not throw here).
+              if (cancel != nullptr && cancel->should_stop()) {
+                edge_counts[c] = 0;
+                return std::uint64_t{0};
+              }
+              const VertexRange r = chunks[c];
+              eid_t local_edges = 0;
+              for (vid_t d = r.begin; d < r.end; ++d) {
+                if (!op.cond(d)) continue;
+                const auto neigh = csc.neighbors(d);
+                const auto wts = csc.weights(d);
+                for (std::size_t j = 0; j < neigh.size(); ++j) {
+                  ++local_edges;
+                  if (prefetch && j + kCscPrefetchDist < neigh.size())
+                    __builtin_prefetch(
+                        &in_words[neigh[j + kCscPrefetchDist] >> 6]);
+                  const vid_t s = neigh[j];
+                  if (!in.get(s)) continue;
+                  if (op.update(s, d, wts[j])) next.set_as(shared_words, d);
+                  if (!op.cond(d)) break;  // destination saturated
+                }
+              }
+              edge_counts[c] = local_edges;
+              return static_cast<std::uint64_t>(local_edges);
+            });
       });
   if (affinity != nullptr) affinity->merge(counts);
 

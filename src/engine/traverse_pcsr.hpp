@@ -8,7 +8,9 @@
 //
 //   * no-atomics ("CSR+na"): one task per partition; destination sets are
 //     disjoint by partitioning-by-destination.  Only admissible when every
-//     partition is single-threaded (P ≥ threads), as in Fig 6.
+//     partition is single-threaded (P ≥ threads), as in Fig 6.  Bitmap
+//     words stay single-writer only on a word-aligned partitioning; off
+//     that grid the next-frontier bits are set atomically.
 //   * atomics ("CSR+a"): local sources are chunked across all partitions to
 //     create intra-partition parallelism; two chunks of the same partition
 //     may update one destination concurrently, requiring atomics (§IV-A:
@@ -55,24 +57,30 @@ Frontier traverse_partitioned_csr(const graph::Graph& g, Frontier& f, Op& op,
 
   AffineCounts counts;
   if (!use_atomics) {
-    counts = affine_for(
-        numa, /*owner=*/&g, /*token=*/&pc, np, sched,
-        [&](std::size_t pi) {
-          return numa.domain_of_partition(static_cast<part_t>(pi), np);
-        },
-        [&](std::size_t pi) {
-          if (cancel != nullptr && cancel->should_stop()) return std::uint64_t{0};
-          const auto& part = pc.part(static_cast<part_t>(pi));
-          const vid_t nloc = part.num_local_vertices();
-          for (vid_t i = 0; i < nloc; ++i) {
-            const vid_t s = part.vertex_ids[i];
-            if (!in.get(s)) continue;
-            for (eid_t j = part.offsets[i]; j < part.offsets[i + 1]; ++j) {
-              const vid_t d = part.targets[j];
-              if (op.cond(d) && op.update(s, d, part.weights[j])) next.set(d);
-            }
-          }
-          return static_cast<std::uint64_t>(part.num_edges());
+    counts = with_shared_words(
+        !g.partitioning_edges().word_aligned(), [&](auto shared_words) {
+          return affine_for(
+              numa, /*owner=*/&g, /*token=*/&pc, np, sched,
+              [&](std::size_t pi) {
+                return numa.domain_of_partition(static_cast<part_t>(pi), np);
+              },
+              [&](std::size_t pi) {
+                if (cancel != nullptr && cancel->should_stop())
+                  return std::uint64_t{0};
+                const auto& part = pc.part(static_cast<part_t>(pi));
+                const vid_t nloc = part.num_local_vertices();
+                for (vid_t i = 0; i < nloc; ++i) {
+                  const vid_t s = part.vertex_ids[i];
+                  if (!in.get(s)) continue;
+                  for (eid_t j = part.offsets[i]; j < part.offsets[i + 1];
+                       ++j) {
+                    const vid_t d = part.targets[j];
+                    if (op.cond(d) && op.update(s, d, part.weights[j]))
+                      next.set_as(shared_words, d);
+                  }
+                }
+                return static_cast<std::uint64_t>(part.num_edges());
+              });
         });
   } else {
     // Flattened (partition, local-vertex chunk) work items — cached at

@@ -23,8 +23,12 @@ part_t Partitioning::partition_of(vid_t v) const {
 }
 
 void Partitioning::build_sub_chunks() {
+  static_assert(kSubChunkVertices % 64 == 0);
   sub_chunks_.clear();
+  word_aligned_ = true;
   for (const VertexRange& r : ranges_) {
+    // A boundary at |V| (empty trailing ranges) has no writer above it.
+    if (r.begin % 64 != 0 && r.begin != num_vertices()) word_aligned_ = false;
     for (vid_t v = r.begin; v < r.end; v += kSubChunkVertices)
       sub_chunks_.push_back({v, std::min<vid_t>(r.end, v + kSubChunkVertices)});
   }

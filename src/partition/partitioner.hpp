@@ -12,8 +12,9 @@
 // Boundaries are additionally aligned to multiples of `boundary_align`
 // vertices (default 64 = one frontier-bitmap word) so that two partitions
 // never write the same bitmap word; this makes the non-atomic bitmap updates
-// of the "+na" kernels race-free.  The paper does not spell this detail out;
-// it is required for correctness of atomic-free next-frontier updates.
+// of the "+na" kernels plain stores.  The paper does not spell this detail
+// out.  A smaller alignment is accepted: Partitioning::word_aligned() then
+// reports false and those kernels set next-frontier bits atomically.
 #pragma once
 
 #include <vector>
@@ -104,13 +105,20 @@ class Partitioning {
   /// feel the vertex figure.
   [[nodiscard]] double vertex_imbalance() const;
 
-  /// The partition ranges split into word-aligned kSubChunkVertices-sized
-  /// sub-chunks — the schedulable work items of the backward-CSC traversal.
-  /// Computed once at construction so the traversal hot path never rebuilds
-  /// the list.  Never empty: a degenerate partitioning yields {{0, 0}}.
+  /// The partition ranges split into kSubChunkVertices-sized sub-chunks —
+  /// the schedulable work items of the backward-CSC traversal.  Computed
+  /// once at construction so the traversal hot path never rebuilds the
+  /// list.  Never empty: a degenerate partitioning yields {{0, 0}}.
   [[nodiscard]] const std::vector<VertexRange>& sub_chunks() const {
     return sub_chunks_;
   }
+
+  /// Whether every range boundary (and hence every sub-chunk boundary) is a
+  /// multiple of 64 vertices, so tasks that own disjoint ranges or
+  /// sub-chunks never write the same frontier-bitmap word.  The non-atomic
+  /// kernels read this once per sweep and use atomic bit sets when false
+  /// (boundary_align < 64).  Computed at construction.
+  [[nodiscard]] bool word_aligned() const { return word_aligned_; }
 
  private:
   void build_sub_chunks();
@@ -119,6 +127,7 @@ class Partitioning {
   std::vector<eid_t> edge_counts_;
   PartitionOptions opts_;
   std::vector<VertexRange> sub_chunks_;
+  bool word_aligned_ = true;
 };
 
 /// Algorithm 1 (generalised): split the vertex set into `num_partitions`

@@ -2,11 +2,13 @@
 // represented as a bitmap").
 //
 // Two flavours:
-//  * Bitmap        — plain bits; single-writer-per-word usage only.  This is
-//                    what the partitioned traversals use: partition
-//                    boundaries are aligned to 64-vertex multiples
-//                    (partition/partitioner.hpp) so two partitions never
-//                    share a word, making non-atomic writes race-free.
+//  * Bitmap        — plain bits; set() is for single-writer-per-word usage.
+//                    This is what the partitioned traversals use: partition
+//                    boundaries aligned to 64-vertex multiples
+//                    (partition/partitioner.hpp) mean two partitions never
+//                    share a word, making non-atomic writes race-free; a
+//                    partitioning off that grid switches them to
+//                    set_atomic() (with_shared_words below).
 //  * AtomicBitmap  — fetch_or-based writes, used by traversals that update
 //                    arbitrary destinations concurrently (sparse CSR forward
 //                    traversal, COO "+a" configuration).
@@ -20,6 +22,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "sys/parallel.hpp"
@@ -27,14 +30,25 @@
 
 namespace grind {
 
+/// Invoke `body(std::bool_constant<shared>{})`: kernels whose parallel
+/// tasks may write the same bitmap word (`shared`, i.e. partition boundaries
+/// off the 64-vertex grid) instantiate their loop with atomic bit sets, and
+/// the word-aligned case keeps plain stores.
+template <typename Body>
+decltype(auto) with_shared_words(bool shared, Body&& body) {
+  if (shared) return body(std::true_type{});
+  return body(std::false_type{});
+}
+
 /// Number of 64-bit words needed to hold `bits` bits.
 constexpr std::size_t bitmap_words(std::size_t bits) {
   return (bits + 63) / 64;
 }
 
-/// Plain (non-atomic) bitmap.  Safe for concurrent writes only when writers
-/// own disjoint 64-bit word ranges — which the partitioner guarantees by
-/// aligning partition boundaries to multiples of 64 vertices.
+/// Plain (non-atomic) bitmap.  set() is safe for concurrent writes only when
+/// writers own disjoint 64-bit word ranges — which the partitioner
+/// guarantees by aligning partition boundaries to multiples of 64 vertices;
+/// set_atomic() is safe always.
 class Bitmap {
  public:
   Bitmap() = default;
@@ -58,6 +72,12 @@ class Bitmap {
   [[nodiscard]] bool get(std::size_t i) const {
     return (words_[i >> 6] >> (i & 63)) & 1ULL;
   }
+
+  /// set() or set_atomic() by tag: lets a kernel pick the flavour once per
+  /// sweep (with_shared_words below) and keep one branch-free hot loop per
+  /// choice.
+  void set_as(std::false_type, std::size_t i) { set(i); }
+  void set_as(std::true_type, std::size_t i) { set_atomic(i); }
 
   /// Zero all bits (parallel).
   void clear() { parallel_fill(words_, std::uint64_t{0}); }

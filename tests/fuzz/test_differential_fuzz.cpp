@@ -7,8 +7,8 @@
 // the sweep fails the suite.
 //
 // Each case is driven by one seed; on failure the SCOPED_TRACE line prints
-// the full reproducer configuration, so a failing case can be replayed by
-// pinning kBaseSeed + the iteration number.
+// the full reproducer configuration (thread count included), so a failing
+// case can be replayed by pinning kBaseSeed + the iteration number.
 //
 // Graph families deliberately include the degenerate shapes the layouts
 // must survive: stars (one giant partition row), chains (diameter |V|),
@@ -32,6 +32,7 @@
 #include "graph/graph.hpp"
 #include "graph/reorder.hpp"
 #include "partition/registry.hpp"
+#include "sys/parallel.hpp"
 
 namespace grind::algorithms {
 namespace {
@@ -112,7 +113,13 @@ struct Knobs {
   /// count>0 assertion below can never flake.
   const partition::PartitionerDesc* partitioner;
   std::uint64_t partitioner_seed;  ///< fed to strategies with a "seed" param
+  /// Worker threads for the case's build and runs, round-robin like the
+  /// partitioner: the non-atomic kernels' single-writer invariants only
+  /// fail under real concurrency, so every count must be exercised.
+  int threads;
 };
+
+constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
 Knobs make_knobs(std::mt19937_64& rng, int iter) {
   const auto& orderings = graph::all_orderings();
@@ -120,8 +127,7 @@ Knobs make_knobs(std::mt19937_64& rng, int iter) {
   static constexpr vid_t kAligns[] = {8, 64};
   static constexpr engine::Layout kLayouts[] = {
       engine::Layout::kAuto, engine::Layout::kBackwardCsc,
-      engine::Layout::kDenseCoo, engine::Layout::kPartitionedCsr,
-      engine::Layout::kPcpm};
+      engine::Layout::kDenseCoo, engine::Layout::kPartitionedCsr};
   static constexpr engine::AtomicsMode kAtomics[] = {
       engine::AtomicsMode::kAuto, engine::AtomicsMode::kForceOn,
       engine::AtomicsMode::kForceOff};
@@ -142,6 +148,8 @@ Knobs make_knobs(std::mt19937_64& rng, int iter) {
   k.partitioner = partitioners[static_cast<std::size_t>(iter) %
                                partitioners.size()];
   k.partitioner_seed = rng() % 1000;
+  k.threads = kThreadCounts[static_cast<std::size_t>(iter) %
+                            std::size(kThreadCounts)];
   return k;
 }
 
@@ -154,9 +162,11 @@ TEST(DifferentialFuzz, AllRegisteredAlgorithmsMatchOraclesAcrossConfigs) {
   ASSERT_GE(partitioners.size(), 6u);
   ASSERT_GE(kCases, static_cast<int>(partitioners.size()))
       << "round-robin cannot cover the registry";
+  ASSERT_GE(kCases, static_cast<int>(std::size(kThreadCounts)));
   std::map<std::string, int> exercised;
   std::map<std::string, int> checked;
   std::map<std::string, int> partitioner_exercised;
+  std::map<int, int> threads_exercised;
 
   for (int iter = 0; iter < kCases; ++iter) {
     const std::uint64_t seed = kBaseSeed + static_cast<std::uint64_t>(iter);
@@ -177,8 +187,10 @@ TEST(DifferentialFuzz, AllRegisteredAlgorithmsMatchOraclesAcrossConfigs) {
           << " atomics=" << static_cast<int>(k.atomics)
           << " domains=" << k.domains
           << " partitioner=" << k.partitioner->name
-          << " pseed=" << k.partitioner_seed;
+          << " pseed=" << k.partitioner_seed << " threads=" << k.threads;
     SCOPED_TRACE(repro.str());
+    const ThreadLimitGuard thread_limit(k.threads);
+    ++threads_exercised[k.threads];
 
     graph::BuildOptions bopts;
     bopts.ordering = k.ordering;
@@ -191,9 +203,6 @@ TEST(DifferentialFuzz, AllRegisteredAlgorithmsMatchOraclesAcrossConfigs) {
     ++partitioner_exercised[k.partitioner->name];
     bopts.build_partitioned_csr =
         k.layout == engine::Layout::kPartitionedCsr;
-    // Scatter-gather-capable algorithms take the message-bin path under
-    // a forced kPcpm; the rest degrade through the kDenseCoo remap.
-    bopts.build_pcpm_bins = k.layout == engine::Layout::kPcpm;
     const graph::Graph g = graph::Graph::build(graph::EdgeList(el), bopts);
 
     engine::Options eopts;
@@ -254,6 +263,9 @@ TEST(DifferentialFuzz, AllRegisteredAlgorithmsMatchOraclesAcrossConfigs) {
   for (const auto* pdesc : partitioners)
     EXPECT_GT(partitioner_exercised[pdesc->name], 0)
         << pdesc->name << " was never exercised by the fuzz sweep";
+  for (int t : kThreadCounts)
+    EXPECT_GT(threads_exercised[t], 0)
+        << "threads=" << t << " was never exercised by the fuzz sweep";
 }
 
 TEST(DifferentialFuzz, DomainCountNeverChangesAlgorithmOutputs) {

@@ -52,6 +52,7 @@ TEST_P(PartitionerSweep, BoundariesAreWordAligned) {
     EXPECT_TRUE(end % 64 == 0 || end == el.num_vertices())
         << "partition " << i << " boundary " << end;
   }
+  EXPECT_TRUE(parts.word_aligned());
 }
 
 TEST_P(PartitionerSweep, EdgeCountsPartitionTheEdgeSet) {
@@ -213,6 +214,19 @@ TEST(Partitioner, EdgeImbalanceDirectConstruction) {
   std::vector<eid_t> counts{4, 0, 0, 0};
   const Partitioning parts(std::move(ranges), std::move(counts), {});
   EXPECT_DOUBLE_EQ(parts.edge_imbalance(), 4.0);
+}
+
+TEST(Partitioner, WordAlignedFlagsBoundariesOffTheBitmapGrid) {
+  // Partitions 0 and 1 both own vertices of bitmap word 0.
+  const Partitioning shared({{0, 10}, {10, 100}}, {1, 1}, {});
+  EXPECT_FALSE(shared.word_aligned());
+  // An empty trailing range begins at |V|; nothing lies above it.
+  const Partitioning tail({{0, 64}, {64, 100}, {100, 100}}, {1, 1, 0}, {});
+  EXPECT_TRUE(tail.word_aligned());
+  PartitionOptions opts;
+  opts.boundary_align = 8;
+  EXPECT_FALSE(
+      make_partitioning(graph::rmat(10, 8, 5), 8, opts).word_aligned());
 }
 
 TEST(Partitioner, FromDegreesMatchesFromEdgeList) {
